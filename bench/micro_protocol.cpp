@@ -93,15 +93,16 @@ void BM_SeqWindowAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_SeqWindowAdd);
 
-void BM_EventQueueScheduleAndPop(benchmark::State& state) {
+void BM_EventQueuePushAndPop(benchmark::State& state) {
   sim::EventQueue q;
-  double t = 0;
+  uint64_t seq = 0;
   for (auto _ : state) {
-    q.schedule(t += 1.0, [] {});
-    q.pop().second();
+    q.push(sim::EventKey{static_cast<double>(seq), 0, seq}, 0, [] {});
+    ++seq;
+    q.pop().fn();
   }
 }
-BENCHMARK(BM_EventQueueScheduleAndPop);
+BENCHMARK(BM_EventQueuePushAndPop);
 
 void BM_FiberSwitch(benchmark::State& state) {
   sim::Engine e(64 * 1024);

@@ -8,14 +8,6 @@
 
 namespace spbc::clustering {
 
-uint64_t GroupGraph::weight_between(int a, int b) const {
-  const int* lo = adj.data() + begin(a);
-  const int* hi = adj.data() + end(a);
-  const int* it = std::lower_bound(lo, hi, b);
-  if (it == hi || *it != b) return 0;
-  return w[static_cast<size_t>(it - adj.data())];
-}
-
 int GroupGraph::total_nodes() const {
   return std::accumulate(node_size.begin(), node_size.end(), 0);
 }

@@ -30,9 +30,6 @@ struct GroupGraph {
   size_t begin(int u) const { return row_ptr[static_cast<size_t>(u)]; }
   size_t end(int u) const { return row_ptr[static_cast<size_t>(u) + 1]; }
 
-  /// Symmetric weight between a and b; O(log degree(a)). 0 when non-adjacent.
-  uint64_t weight_between(int a, int b) const;
-
   int total_nodes() const;
 
   /// Builds the CSR from (a, b, weight) triples (a != b, both orders or one —

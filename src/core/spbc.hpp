@@ -167,7 +167,6 @@ class SpbcProtocol : public mpi::ProtocolHooks {
 
   // ---- introspection ----------------------------------------------------
   const SenderLog& log_of(int rank) const;
-  SenderLog& log_of_mut(int rank);
   const Replayer& replayer_of(int rank) const;
   const ckpt::Store& store() const { return store_; }
   const ckpt::StagingArea& staging() const { return staging_; }

@@ -534,13 +534,6 @@ std::vector<unsigned char> Machine::take_pending_app_state(int r) {
   return bytes;
 }
 
-std::vector<Envelope> Machine::pending_rendezvous_envelopes() const {
-  std::vector<Envelope> out;
-  for (const auto& row : rendezvous_)
-    for (const auto& [id, pr] : row) out.push_back(pr.env);
-  return out;
-}
-
 std::map<ChannelKey, std::vector<uint64_t>> Machine::send_trace() const {
   std::map<ChannelKey, std::vector<uint64_t>> out;
   // ChannelKey orders by src first, so appending rows in src order keeps the

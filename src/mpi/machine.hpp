@@ -323,9 +323,6 @@ class Machine {
     return dropped_in_flight_.load(std::memory_order_relaxed);
   }
 
-  /// Diagnostics: envelopes of sends parked in the rendezvous handshake.
-  std::vector<Envelope> pending_rendezvous_envelopes() const;
-
   // Debug-only tag (never hashed into traces or used for ordering), so a
   // relaxed counter keeps it unique across shard threads.
   uint64_t fresh_uid() { return uid_.fetch_add(1, std::memory_order_relaxed) + 1; }

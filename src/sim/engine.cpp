@@ -54,14 +54,6 @@ bool Engine::in_shard_event() const {
   return tl.eng == this && !tl.serial && tl.exec >= 0;
 }
 
-bool Engine::in_parallel_context() const {
-  return tl.eng == this && tl.parallel;
-}
-
-bool Engine::in_serial_context() const {
-  return tl.eng == this && tl.serial;
-}
-
 Time Engine::now() const {
   if (tl.eng == this && !tl.serial && tl.exec >= 0)
     return shards_[static_cast<size_t>(tl.exec)]->now;
@@ -72,8 +64,7 @@ Time Engine::now() const {
 // Scheduling
 // ---------------------------------------------------------------------------
 
-EventQueue::EventId Engine::schedule_event(int target_key, Time t,
-                                           std::function<void()> fn) {
+void Engine::schedule_event(int target_key, Time t, std::function<void()> fn) {
   SPBC_ASSERT(target_key >= 0 && target_key < key_shards());
   // The ordering key is stamped by the *scheduling* context's key shard (the
   // origin): its sequence counter is only ever advanced by the one thread
@@ -104,23 +95,17 @@ EventQueue::EventId Engine::schedule_event(int target_key, Time t,
   if (tl.eng == this && tl.parallel && static_cast<int>(qidx) != tl.exec) {
     // Another worker owns that queue right now: hand over via mailbox; the
     // coordinator applies it between windows (t >= window end, see above).
-    EventQueue::EventId local = sh.queue.reserve_id();
-    {
-      std::lock_guard<std::mutex> g(sh.mbox_mu);
-      sh.mbox.push_back(Mail{false, local, key,
-                             static_cast<uint32_t>(target_key),
-                             std::move(fn)});
-    }
-    return make_gid(qidx, local);
+    std::lock_guard<std::mutex> g(sh.mbox_mu);
+    sh.mbox.push_back(EventQueue::Event{
+        key, static_cast<uint32_t>(target_key), std::move(fn)});
+    return;
   }
   SPBC_ASSERT_MSG(t >= sh.now,
                   "scheduling into the past: t=" << t << " now=" << sh.now);
-  return make_gid(qidx, sh.queue.schedule_keyed(
-                            key, static_cast<uint32_t>(target_key),
-                            std::move(fn)));
+  sh.queue.push(key, static_cast<uint32_t>(target_key), std::move(fn));
 }
 
-EventQueue::EventId Engine::schedule_serial(Time t, std::function<void()> fn) {
+void Engine::schedule_serial(Time t, std::function<void()> fn) {
   uint32_t origin = (tl.eng == this && (tl.serial || tl.exec >= 0))
                         ? static_cast<uint32_t>(tl.key)
                         : 0u;
@@ -132,37 +117,36 @@ EventQueue::EventId Engine::schedule_serial(Time t, std::function<void()> fn) {
                         << t << " now=" << tau << " lookahead=" << lookahead_);
   }
   if (tl.eng == this && tl.parallel) {
-    EventQueue::EventId local = serial_q_.reserve_id();
-    {
-      std::lock_guard<std::mutex> g(serial_mbox_mu_);
-      serial_mbox_.push_back(Mail{false, local, key, origin, std::move(fn)});
-    }
-    return make_gid(shards_.size(), local);
+    std::lock_guard<std::mutex> g(serial_mbox_mu_);
+    serial_mbox_.push_back(EventQueue::Event{key, origin, std::move(fn)});
+    return;
   }
   SPBC_ASSERT_MSG(t >= global_now_,
                   "serial event in the past: t=" << t << " now=" << global_now_);
-  return make_gid(shards_.size(),
-                  serial_q_.schedule_keyed(key, origin, std::move(fn)));
+  serial_q_.push(key, origin, std::move(fn));
 }
 
-EventQueue::EventId Engine::at(Time t, std::function<void()> fn) {
-  if (in_shard_event()) return schedule_event(tl.key, t, std::move(fn));
-  if (!sharded()) return schedule_event(0, t, std::move(fn));
-  // Serial context or outside a run: events scheduled while the world is
-  // stopped usually orchestrate global actions (failure injection, recovery
-  // continuations) — keep them at the barrier.
-  return schedule_serial(t, std::move(fn));
+void Engine::at(Time t, std::function<void()> fn) {
+  // From serial context or outside a run, a sharded engine keeps the event at
+  // the barrier: events scheduled while the world is stopped usually
+  // orchestrate global actions (failure injection, recovery continuations).
+  if (in_shard_event())
+    schedule_event(tl.key, t, std::move(fn));
+  else if (sharded())
+    schedule_serial(t, std::move(fn));
+  else
+    schedule_event(0, t, std::move(fn));
 }
 
-EventQueue::EventId Engine::at_on(int key_shard, Time t,
-                                  std::function<void()> fn) {
-  if (!sharded()) return schedule_event(0, t, std::move(fn));
-  return schedule_event(key_shard, t, std::move(fn));
+void Engine::at_on(int key_shard, Time t, std::function<void()> fn) {
+  schedule_event(sharded() ? key_shard : 0, t, std::move(fn));
 }
 
-EventQueue::EventId Engine::at_serial(Time t, std::function<void()> fn) {
-  if (!sharded()) return schedule_event(0, t, std::move(fn));
-  return schedule_serial(t, std::move(fn));
+void Engine::at_serial(Time t, std::function<void()> fn) {
+  if (sharded())
+    schedule_serial(t, std::move(fn));
+  else
+    schedule_event(0, t, std::move(fn));
 }
 
 void Engine::run_serial(std::function<void()> fn) {
@@ -172,25 +156,6 @@ void Engine::run_serial(std::function<void()> fn) {
     return;
   }
   schedule_serial(now() + lookahead_, std::move(fn));
-}
-
-void Engine::cancel(EventQueue::EventId id) {
-  size_t qidx = static_cast<size_t>(id >> kLocalIdBits) - 1;
-  EventQueue::EventId local = id & ((1ull << kLocalIdBits) - 1);
-  SPBC_ASSERT(qidx <= shards_.size());
-  if (qidx == shards_.size()) {
-    SPBC_ASSERT_MSG(!(tl.eng == this && tl.parallel),
-                    "serial-event cancel from a threaded window");
-    serial_q_.cancel(local);
-    return;
-  }
-  ExecShard& sh = *shards_[qidx];
-  if (tl.eng == this && tl.parallel && static_cast<int>(qidx) != tl.exec) {
-    std::lock_guard<std::mutex> g(sh.mbox_mu);
-    sh.mbox.push_back(Mail{true, local, EventKey{}, 0, nullptr});
-    return;
-  }
-  sh.queue.cancel(local);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,11 +260,6 @@ Engine::TaskId Engine::current_task() const {
   return tl.running_task;
 }
 
-int Engine::task_shard(TaskId id) const {
-  SPBC_ASSERT(id >= 0 && static_cast<size_t>(id) < tasks_.size());
-  return tasks_[static_cast<size_t>(id)].key_shard;
-}
-
 size_t Engine::live_task_count() const {
   size_t n = 0;
   for (const auto& t : tasks_)
@@ -318,7 +278,7 @@ void Engine::set_task_label(TaskId id, std::string label) {
 
 void Engine::exec_shard_one(int s, bool parallel) {
   ExecShard& sh = *shards_[static_cast<size_t>(s)];
-  EventQueue::Popped p = sh.queue.pop_keyed();
+  EventQueue::Event p = sh.queue.pop();
   SPBC_ASSERT(p.key.t >= sh.now);
   sh.now = p.key.t;
   if (!parallel) global_now_ = std::max(global_now_, p.key.t);
@@ -331,7 +291,7 @@ void Engine::exec_shard_one(int s, bool parallel) {
 }
 
 void Engine::exec_serial_one() {
-  EventQueue::Popped p = serial_q_.pop_keyed();
+  EventQueue::Event p = serial_q_.pop();
   // A serial event is a global barrier: every shard clock advances to its
   // time (it only executes when it is the globally smallest key, so no shard
   // holds an earlier event).
@@ -390,27 +350,22 @@ Time Engine::run_merge(Time deadline, bool bounded) {
 }
 
 void Engine::drain_mailboxes() {
-  std::vector<Mail> tmp;
+  std::vector<EventQueue::Event> tmp;
   for (auto& shp : shards_) {
     {
       std::lock_guard<std::mutex> g(shp->mbox_mu);
       tmp.swap(shp->mbox);
     }
-    for (Mail& m : tmp) {
-      if (m.cancel)
-        shp->queue.cancel(m.local_id);
-      else
-        shp->queue.schedule_reserved(m.local_id, m.key, m.owner,
-                                     std::move(m.fn));
-    }
+    for (EventQueue::Event& m : tmp)
+      shp->queue.push(m.key, m.owner, std::move(m.fn));
     tmp.clear();
   }
   {
     std::lock_guard<std::mutex> g(serial_mbox_mu_);
     tmp.swap(serial_mbox_);
   }
-  for (Mail& m : tmp)
-    serial_q_.schedule_reserved(m.local_id, m.key, m.owner, std::move(m.fn));
+  for (EventQueue::Event& m : tmp)
+    serial_q_.push(m.key, m.owner, std::move(m.fn));
 }
 
 Time Engine::run_threaded() {
@@ -461,7 +416,7 @@ Time Engine::run_threaded() {
     }
     if (!have) break;
     Time W = kmin.t + lookahead_;
-    if (have_serial) W = std::min(W, serial_q_.next_time());
+    if (have_serial) W = std::min(W, serial_q_.next_key().t);
     if (!(W > kmin.t)) {
       // No parallel room (zero lookahead or a serial event at the same
       // time): fall back to one deterministic sequential step.

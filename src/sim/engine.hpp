@@ -80,24 +80,23 @@ class Engine {
 
   /// Schedules a bare callback (network delivery, protocol timers, ...) on
   /// the calling context's own key shard (shard 0 / serial outside a run).
-  EventQueue::EventId at(Time t, std::function<void()> fn);
-  EventQueue::EventId after(Time dt, std::function<void()> fn) {
-    return at(now() + dt, std::move(fn));
+  void at(Time t, std::function<void()> fn);
+  void after(Time dt, std::function<void()> fn) {
+    at(now() + dt, std::move(fn));
   }
   /// Schedules onto an explicit key shard (cross-shard sends). From shard
   /// context, t must respect the lookahead when key_shard differs.
-  EventQueue::EventId at_on(int key_shard, Time t, std::function<void()> fn);
-  EventQueue::EventId after_on(int key_shard, Time dt,
-                               std::function<void()> fn) {
-    return at_on(key_shard, now() + dt, std::move(fn));
+  void at_on(int key_shard, Time t, std::function<void()> fn);
+  void after_on(int key_shard, Time dt, std::function<void()> fn) {
+    at_on(key_shard, now() + dt, std::move(fn));
   }
   /// Schedules a serial event: executes alone at a global barrier, with all
   /// shard clocks advanced to t. For failure injection / recovery
   /// orchestration that touches many shards. In an unsharded plan this is
   /// an ordinary event (legacy byte-identical order).
-  EventQueue::EventId at_serial(Time t, std::function<void()> fn);
-  EventQueue::EventId after_serial(Time dt, std::function<void()> fn) {
-    return at_serial(now() + dt, std::move(fn));
+  void at_serial(Time t, std::function<void()> fn);
+  void after_serial(Time dt, std::function<void()> fn) {
+    at_serial(now() + dt, std::move(fn));
   }
   /// Runs `fn` in serial context: immediately when already serial (or in an
   /// unsharded plan, where every event is effectively serial), else as a
@@ -106,7 +105,6 @@ class Engine {
   /// every sharded mode (threaded or not) so trajectories stay independent
   /// of the execution configuration.
   void run_serial(std::function<void()> fn);
-  void cancel(EventQueue::EventId id);
 
   /// Spawns a fiber that starts running at the current time on the calling
   /// context's shard (spawn) or an explicit key shard (spawn_on). Returns a
@@ -139,9 +137,6 @@ class Engine {
   /// The task id of the fiber currently executing (fiber-side only).
   TaskId current_task() const;
 
-  /// Key shard the task was spawned on.
-  int task_shard(TaskId id) const;
-
   /// Runs until the event queues are empty and all fibers are finished, or
   /// until stop() is called. Returns final virtual time.
   Time run();
@@ -166,11 +161,6 @@ class Engine {
   /// Diagnostic label for deadlock reports.
   void set_task_label(TaskId id, std::string label);
 
-  /// True while executing a threaded parallel window on this engine.
-  bool in_parallel_context() const;
-  /// True while executing a serial (global-barrier) event.
-  bool in_serial_context() const;
-
   struct Stats {
     uint64_t events = 0;         // shard events executed
     uint64_t serial_events = 0;  // global-barrier events executed
@@ -183,22 +173,15 @@ class Engine {
   Stats stats() const;
 
  private:
-  struct Mail {
-    bool cancel = false;
-    EventQueue::EventId local_id = 0;  // reserved (insert) or target (cancel)
-    EventKey key;
-    uint32_t owner = 0;
-    EventQueue::EventFn fn;
-  };
   struct ExecShard {
     EventQueue queue;
     Time now = kTimeZero;
     std::unique_ptr<StackPool> pool;
     uint64_t events = 0;
-    // Cross-shard inserts/cancels from threaded windows; drained by the
-    // coordinator between windows.
+    // Cross-shard inserts from threaded windows; drained by the coordinator
+    // between windows.
     std::mutex mbox_mu;
-    std::vector<Mail> mbox;
+    std::vector<EventQueue::Event> mbox;
   };
   struct Task {
     std::unique_ptr<Fiber> fiber;
@@ -212,9 +195,8 @@ class Engine {
   }
   bool in_shard_event() const;  // shard-event/fiber context on this engine
 
-  EventQueue::EventId schedule_event(int target_key, Time t,
-                                     std::function<void()> fn);
-  EventQueue::EventId schedule_serial(Time t, std::function<void()> fn);
+  void schedule_event(int target_key, Time t, std::function<void()> fn);
+  void schedule_serial(Time t, std::function<void()> fn);
   void schedule_resume(TaskId id);
   void resume_task(TaskId id);
   void exec_shard_one(int s, bool parallel);
@@ -224,18 +206,10 @@ class Engine {
   void drain_mailboxes();
   void deadlock_check();
 
-  // Engine-wide event ids encode (queue index + 1, local id); queue index
-  // shards_.size() is the serial queue.
-  static constexpr int kLocalIdBits = 44;
-  EventQueue::EventId make_gid(size_t qidx, EventQueue::EventId local) const {
-    SPBC_ASSERT(local < (1ull << kLocalIdBits));
-    return ((static_cast<uint64_t>(qidx) + 1) << kLocalIdBits) | local;
-  }
-
   std::vector<std::unique_ptr<ExecShard>> shards_;
   EventQueue serial_q_;
   std::mutex serial_mbox_mu_;
-  std::vector<Mail> serial_mbox_;
+  std::vector<EventQueue::Event> serial_mbox_;
   std::vector<uint64_t> key_seq_;  // per key shard: next ordering seq
   Time global_now_ = kTimeZero;
   Time window_end_ = kTimeZero;  // published W for the current window

@@ -7,19 +7,18 @@
 // or thread executes the event, merging any number of per-shard queues by
 // smallest key reproduces the exact same global order for every shard count —
 // the property the channel-determinism checker and every regression test
-// depend on. The legacy two-argument schedule() stamps (t, shard 0, local
-// counter), which is byte-identical to the old (time, insertion-order) rule.
+// depend on.
 //
-// Cancellation is O(1): an open-addressed id->slot table finds the entry, its
-// slot is recycled immediately, and the stale heap item is dropped when it
-// surfaces. A compaction pass rebuilds the heap whenever stale items outnumber
-// live ones, so cancel-heavy storms (rank timers raced by message arrivals)
-// cannot grow the heap beyond ~2x the live event count.
+// Every key the engine stamps is unique (no two events share an origin
+// shard and seq), so the keys are totally ordered and *any* correct min-heap
+// pops the same sequence: pop order — and with it layout bit-identity — holds
+// by construction, independent of how the heap breaks internal ties. Records
+// are stored inline in the heap: no ids, no removal other than pop, and no
+// indirection.
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -43,88 +42,27 @@ struct EventKey {
 class EventQueue {
  public:
   using EventFn = std::function<void()>;
-  using EventId = uint64_t;
 
-  /// Schedules fn at absolute time t with key (t, 0, internal counter) — the
-  /// legacy single-queue insertion order. Returns an id usable with cancel().
-  EventId schedule(Time t, EventFn fn);
-
-  /// Sharded-engine path: schedule with an explicit ordering key. `owner` is
-  /// the key shard whose state the event mutates (the execution context the
-  /// engine restores around fn); it does not affect ordering.
-  EventId schedule_keyed(const EventKey& key, uint32_t owner, EventFn fn);
-
-  /// Reserves an id for a later schedule_reserved() — used by the engine's
-  /// cross-shard mailboxes, where the id must be returned to the caller
-  /// before the owning thread performs the actual insert. Thread-safe.
-  EventId reserve_id() {
-    return next_id_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void schedule_reserved(EventId id, const EventKey& key, uint32_t owner,
-                         EventFn fn);
-
-  /// Cancels a scheduled event. O(1); the slot is recycled immediately.
-  /// Unknown/already-popped ids are ignored.
-  void cancel(EventId id);
-
-  bool empty() const { return live_count_ == 0; }
-  size_t size() const { return live_count_; }
-
-  /// Key/time of the earliest live event; only valid when !empty().
-  const EventKey& next_key() const;
-  Time next_time() const { return next_key().t; }
-
-  struct Popped {
+  struct Event {
     EventKey key;
-    uint32_t owner;
+    uint32_t owner;  // key shard whose state fn mutates; not part of order
     EventFn fn;
   };
-  /// Pops and returns the earliest live event. Only valid when !empty().
-  Popped pop_keyed();
-  /// Legacy shape of pop_keyed().
-  std::pair<Time, EventFn> pop();
 
-  /// Heap entries including not-yet-dropped cancelled ones — bounded at
-  /// ~2x size() by compaction (regression-tested).
-  size_t heap_size() const { return heap_.size(); }
+  /// Inserts fn under `key`. Keys must be unique within the queue.
+  void push(const EventKey& key, uint32_t owner, EventFn fn);
+
+  /// Key of the earliest event; only valid when !empty().
+  const EventKey& next_key() const;
+
+  /// Removes and returns the earliest event; only valid when !empty().
+  Event pop();
+
+  bool empty() const { return heap_.empty(); }
+  size_t size() const { return heap_.size(); }
 
  private:
-  struct Entry {
-    EventId id = 0;  // 0 = free slot
-    uint32_t owner = 0;
-    EventKey key;
-    EventFn fn;
-  };
-  struct HeapItem {
-    EventKey key;
-    EventId id;
-    size_t slot;
-    bool operator>(const HeapItem& o) const { return key > o.key; }
-  };
-
-  bool stale(const HeapItem& it) const { return entries_[it.slot].id != it.id; }
-  void drop_stale_top() const;
-  void maybe_compact();
-  void free_slot(size_t slot);
-
-  // Open-addressed id->slot map (linear probe, backward-shift deletion).
-  void map_insert(EventId id, size_t slot);
-  bool map_erase(EventId id, size_t* slot_out);
-  void map_grow();
-
-  std::vector<Entry> entries_;
-  mutable std::vector<HeapItem> heap_;  // min-heap via std::*_heap with greater
-  std::vector<size_t> free_slots_;
-  std::atomic<EventId> next_id_{1};
-  uint64_t legacy_seq_ = 0;
-  size_t live_count_ = 0;
-
-  struct MapCell {
-    EventId id = 0;  // 0 = empty
-    size_t slot = 0;
-  };
-  std::vector<MapCell> map_cells_;
-  size_t map_count_ = 0;
+  std::vector<Event> heap_;  // min-heap on key
 };
 
 }  // namespace spbc::sim

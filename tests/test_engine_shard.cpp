@@ -3,8 +3,8 @@
 // ordering key; exec shards and worker threads never appear in it), killed
 // fibers must release their pooled stacks, cross-shard kill/unpark races at
 // the same virtual time must resolve by the same key tie-break as the legacy
-// single-queue engine, and the event queue's lazy cancellation must stay
-// bounded by compaction.
+// single-queue engine, and threaded validate-mode runs must publish the same
+// per-rank checksums as the single-queue run.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "harness/scenario.hpp"
 #include "mpi/machine.hpp"
 #include "sim/engine.hpp"
-#include "sim/event_queue.hpp"
 #include "trace/determinism.hpp"
 
 namespace spbc {
@@ -286,28 +285,43 @@ TEST(EngineShard, KilledFibersReleaseStacksToPool) {
   EXPECT_EQ(st.peak_live_stacks, 8u);
 }
 
-// ---- satellite: lazy-cancellation compaction bounds the heap --------------
+// ---- threaded validate-mode runs publish the serial checksums -------------
+//
+// Validate mode deposits every rank's final checksum into one map shared by
+// all rank fibers. Under the threaded executor those fibers finish on
+// concurrent shard threads, so the sink must serialize its inserts (the
+// TSan job runs this binary), and a run that recovers from a failure must
+// still end on the failure-free single-queue checksums, rank for rank.
 
-TEST(EventQueueCompaction, CancelStormKeepsHeapNearLiveCount) {
-  sim::EventQueue q;
-  // 99% of scheduled events are cancelled immediately. Without compaction
-  // the heap would grow to ~10000 entries; with it, heap_size() stays within
-  // a small factor of the live count at every step.
-  for (int i = 0; i < 10000; ++i) {
-    sim::EventQueue::EventId id =
-        q.schedule(static_cast<sim::Time>(i), [] {});
-    if (i % 100 != 0) q.cancel(id);
-    ASSERT_LE(q.heap_size(), 2 * q.size() + 65)
-        << "at i=" << i << " live=" << q.size();
-  }
-  EXPECT_EQ(q.size(), 100u);
-  size_t ran = 0;
-  while (!q.empty()) {
-    auto [t, fn] = q.pop();
-    fn();
-    ++ran;
-  }
-  EXPECT_EQ(ran, 100u);
+harness::ScenarioResult validate_run(int engine_shards, int engine_threads,
+                                     sim::Time failure_at) {
+  harness::ScenarioConfig cfg;
+  cfg.app = "MiniGhost";
+  cfg.nranks = 32;
+  cfg.ranks_per_node = 2;
+  cfg.nclusters = 8;
+  cfg.use_clustering_tool = false;  // block map: node-colocated clusters
+  cfg.app_cfg.iters = 6;
+  cfg.app_cfg.validate = true;
+  cfg.spbc.checkpoint_every = 2;
+  cfg.spbc.redundancy.kind = ckpt::SchemeKind::kSingle;
+  cfg.machine.net.jitter_frac = 0.0;
+  cfg.machine.engine_shards = engine_shards;
+  cfg.machine.engine_threads = engine_threads;
+  cfg.inject_failure = failure_at > 0;
+  cfg.failure_at = failure_at;
+  cfg.victim_rank = 5;
+  return harness::run_scenario(cfg);
+}
+
+TEST(EngineShard, ThreadedValidateRunPublishesSerialChecksums) {
+  const harness::ScenarioResult ff = validate_run(1, 1, 0.0);
+  ASSERT_TRUE(ff.run.completed);
+  ASSERT_EQ(ff.checksums.size(), 32u);
+  const harness::ScenarioResult got = validate_run(0, 2, ff.elapsed * 0.4);
+  ASSERT_TRUE(got.run.completed);
+  EXPECT_EQ(got.recoveries.size(), 1u);
+  EXPECT_EQ(got.checksums, ff.checksums);
 }
 
 }  // namespace

@@ -8,13 +8,12 @@
 // per-shape ScenarioResult accounting (straggler stall, partition holds,
 // PFS interference).
 //
-// SPBC_TEST_ELASTIC=1 reruns the scenario-level suites with a two-node
-// spare pool and permanent node losses as the default failure kind, so the
-// facade's restart path is also exercised across a spare-node hot-swap.
+// The scenario-level suites run under each regime (tests/regimes.hpp), so
+// the facade's restart path is also exercised under the scalable control
+// plane and across a spare-node hot-swap.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -26,6 +25,7 @@
 #include "core/spbc.hpp"
 #include "harness/scenario.hpp"
 #include "mpi/machine.hpp"
+#include "regimes.hpp"
 #include "trace/determinism.hpp"
 
 namespace spbc {
@@ -37,15 +37,6 @@ using core::SPBC_ERR_NO_SESSION;
 using core::SPBC_ERR_TRUNCATED;
 using core::SPBC_ERR_UNKNOWN_REGION;
 using core::SPBC_SUCCESS;
-
-bool elastic_env() { return std::getenv("SPBC_TEST_ELASTIC") != nullptr; }
-
-void apply_elastic_env(mpi::MachineConfig& cfg) {
-  if (elastic_env()) {
-    cfg.spare_nodes = 2;
-    cfg.default_failure_kind = mpi::FailureKind::kNodePermanent;
-  }
-}
 
 // ---- lifecycle + misuse rejection -----------------------------------------
 
@@ -158,7 +149,7 @@ TEST(FacadeLifecycle, ErrorStringsAreDistinct) {
 // partner-scheme default; the same config runs failure-free and with an
 // injected mid-run failure, and the results must match bit-for-bit.
 
-harness::ScenarioConfig facade_config(const std::string& app) {
+harness::ScenarioConfig facade_config(const std::string& app, Regime regime) {
   harness::ScenarioConfig cfg;
   cfg.app = app;
   cfg.nranks = 16;
@@ -171,7 +162,7 @@ harness::ScenarioConfig facade_config(const std::string& app) {
   cfg.spbc.checkpoint_every = 2;
   cfg.machine.abort_on_deadlock = false;
   cfg.use_clustering_tool = false;
-  apply_elastic_env(cfg.machine);
+  apply_regime(regime, cfg.machine);
   return cfg;
 }
 
@@ -205,13 +196,14 @@ const HostileShape kShapes[] = {
 };
 
 class FacadeHostileRecovery
-    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+    : public ::testing::TestWithParam<std::tuple<Regime, std::string, int>> {
+};
 
 TEST_P(FacadeHostileRecovery, ChecksumIdenticalViaFacade) {
-  const auto& [app, shape_idx] = GetParam();
+  const auto& [regime, app, shape_idx] = GetParam();
   const HostileShape& shape = kShapes[shape_idx];
 
-  harness::ScenarioConfig cfg = facade_config(app);
+  harness::ScenarioConfig cfg = facade_config(app, regime);
   harness::ScenarioResult probe = harness::run_failure_free(cfg);
   ASSERT_TRUE(probe.run.completed) << app << "/" << shape.name;
   shape.apply(cfg, probe.elapsed);
@@ -230,12 +222,15 @@ TEST_P(FacadeHostileRecovery, ChecksumIdenticalViaFacade) {
 
 INSTANTIATE_TEST_SUITE_P(
     AppsByShape, FacadeHostileRecovery,
-    ::testing::Combine(::testing::Values(std::string("MiniFE-facade"),
+    ::testing::Combine(all_regimes(),
+                       ::testing::Values(std::string("MiniFE-facade"),
                                          std::string("BT-facade")),
                        ::testing::Values(0, 1, 2)),
-    [](const ::testing::TestParamInfo<std::tuple<std::string, int>>& info) {
-      std::string name = std::get<0>(info.param) + "_" +
-                         kShapes[std::get<1>(info.param)].name;
+    [](const ::testing::TestParamInfo<std::tuple<Regime, std::string, int>>&
+           info) {
+      std::string name = regime_name(std::get<0>(info.param)) + "_" +
+                         std::get<1>(info.param) + "_" +
+                         kShapes[std::get<2>(info.param)].name;
       for (char& c : name)
         if (c == '-') c = '_';
       return name;
@@ -356,8 +351,10 @@ INSTANTIATE_TEST_SUITE_P(BothPorts, FacadeShardDeterminism,
 // on: straggler stall time, partition holds/stall, and PFS interference
 // (contended flushes, extra flush seconds, queue-depth high-water mark).
 
-TEST(HostileStats, StragglerStallAccounting) {
-  harness::ScenarioConfig cfg = facade_config("MiniFE-facade");
+class HostileStats : public ::testing::TestWithParam<Regime> {};
+
+TEST_P(HostileStats, StragglerStallAccounting) {
+  harness::ScenarioConfig cfg = facade_config("MiniFE-facade", GetParam());
   harness::ScenarioResult base = harness::run_failure_free(cfg);
   ASSERT_TRUE(base.run.completed);
   EXPECT_EQ(base.straggler_stall_time, 0.0);
@@ -374,8 +371,8 @@ TEST(HostileStats, StragglerStallAccounting) {
   EXPECT_EQ(slow.checksums, base.checksums);
 }
 
-TEST(HostileStats, PartitionHoldAccounting) {
-  harness::ScenarioConfig cfg = facade_config("BT-facade");
+TEST_P(HostileStats, PartitionHoldAccounting) {
+  harness::ScenarioConfig cfg = facade_config("BT-facade", GetParam());
   harness::ScenarioResult base = harness::run_failure_free(cfg);
   ASSERT_TRUE(base.run.completed);
   EXPECT_EQ(base.partition_msgs_held, 0u);
@@ -392,8 +389,8 @@ TEST(HostileStats, PartitionHoldAccounting) {
   EXPECT_EQ(part.checksums, base.checksums);
 }
 
-TEST(HostileStats, PfsInterferenceAccounting) {
-  harness::ScenarioConfig cfg = facade_config("MiniFE-facade");
+TEST_P(HostileStats, PfsInterferenceAccounting) {
+  harness::ScenarioConfig cfg = facade_config("MiniFE-facade", GetParam());
   // Real staging with a PFS tail so flushes exist to contend with.
   cfg.spbc.storage = ckpt::StorageLevel::kPfs;
   cfg.spbc.async_staging = true;
@@ -415,11 +412,11 @@ TEST(HostileStats, PfsInterferenceAccounting) {
   EXPECT_EQ(busy.checksums, base.checksums);
 }
 
-TEST(HostileStats, DomainFailureInjection) {
+TEST_P(HostileStats, DomainFailureInjection) {
   // One rack's worth of correlated losses through the hostile matrix; the
   // scenario must count the expanded per-node failures and still recover
   // checksum-identical.
-  harness::ScenarioConfig cfg = facade_config("MiniFE-facade");
+  harness::ScenarioConfig cfg = facade_config("MiniFE-facade", GetParam());
   cfg.spbc.redundancy.kind = ckpt::SchemeKind::kReedSolomon;
   cfg.spbc.redundancy.rs_k = 4;
   cfg.spbc.redundancy.rs_m = 2;
@@ -436,6 +433,9 @@ TEST(HostileStats, DomainFailureInjection) {
   EXPECT_FALSE(rec.recoveries.empty());
   EXPECT_EQ(rec.checksums, ff.checksums);
 }
+
+INSTANTIATE_TEST_SUITE_P(Regimes, HostileStats, all_regimes(),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace spbc

@@ -5,14 +5,17 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cmath>
 #include <map>
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "baselines/presets.hpp"
 #include "core/spbc.hpp"
 #include "mpi/collectives.hpp"
 #include "mpi/machine.hpp"
+#include "regimes.hpp"
 
 namespace spbc {
 namespace {
@@ -64,32 +67,14 @@ struct Rig {
   core::SpbcProtocol* protocol = nullptr;
 };
 
-// SPBC_TEST_SCALABLE_CTRL=1 reruns this suite with the scalable control
-// plane (leader-aggregated rollbacks + tree wave markers) forced on; every
-// edge case here must survive either plane.
-bool elastic_env() { return std::getenv("SPBC_TEST_ELASTIC") != nullptr; }
-
-void apply_ctrl_plane_env(MachineConfig& cfg) {
-  if (std::getenv("SPBC_TEST_SCALABLE_CTRL") != nullptr) {
-    cfg.aggregate_rollbacks = true;
-    cfg.tree_ckpt_markers = true;
-  }
-  // SPBC_TEST_ELASTIC=1 upgrades every injected failure to a permanent node
-  // loss with a two-deep spare pool: each edge case must survive the victim
-  // node never coming back and its ranks hot-swapping onto a spare.
-  if (elastic_env()) {
-    cfg.spare_nodes = 2;
-    cfg.default_failure_kind = mpi::FailureKind::kNodePermanent;
-  }
-}
-
-Rig make_rig(std::vector<int> clusters, int ckpt_every, bool colocate = true) {
+Rig make_rig(Regime regime, std::vector<int> clusters, int ckpt_every,
+             bool colocate = true) {
   MachineConfig cfg;
   cfg.nranks = static_cast<int>(clusters.size());
   cfg.ranks_per_node = 2;
   cfg.abort_on_deadlock = false;
   cfg.enforce_node_colocation = colocate;
-  apply_ctrl_plane_env(cfg);
+  apply_regime(regime, cfg);
   core::SpbcConfig scfg;
   scfg.checkpoint_every = static_cast<uint64_t>(ckpt_every);
   auto proto = std::make_unique<core::SpbcProtocol>(scfg);
@@ -100,25 +85,30 @@ Rig make_rig(std::vector<int> clusters, int ckpt_every, bool colocate = true) {
   return rig;
 }
 
-std::map<int, uint64_t> reference(int nranks, int iters) {
+std::map<int, uint64_t> reference(Regime regime, int nranks, int iters) {
   std::map<int, uint64_t> sums;
-  Rig rig = make_rig(std::vector<int>(static_cast<size_t>(nranks), 0), 0);
+  Rig rig = make_rig(regime, std::vector<int>(static_cast<size_t>(nranks), 0),
+                     0);
   rig.machine->launch([iters, &sums](Rank& r) { workload(r, iters, &sums); });
   EXPECT_TRUE(rig.machine->run().completed);
   return sums;
 }
 
-class FailureSweep : public ::testing::TestWithParam<double> {};
+// Every test runs under each regime (tests/regimes.hpp): each edge case must
+// survive either control plane, and the victim's node never coming back with
+// its ranks hot-swapping onto a spare.
+class FailureSweep
+    : public ::testing::TestWithParam<std::tuple<Regime, double>> {};
 
 // A dense sweep of failure times across the whole run, including times that
 // land inside checkpoint waves and collectives.
 TEST_P(FailureSweep, RecoversAtAnyInstant) {
   const int n = 8, iters = 10;
-  static const auto expect = reference(n, iters);
+  const auto& [regime, t] = GetParam();
+  const auto expect = reference(regime, n, iters);
   // Failure-free elapsed for this workload is ~16ms; sweep across it.
-  double t = GetParam();
   std::map<int, uint64_t> sums;
-  Rig rig = make_rig({0, 0, 1, 1, 2, 2, 3, 3}, 3);
+  Rig rig = make_rig(regime, {0, 0, 1, 1, 2, 2, 3, 3}, 3);
   rig.machine->launch([&sums](Rank& r) { workload(r, iters, &sums); });
   rig.machine->inject_failure(t, 2);
   mpi::RunResult res = rig.machine->run();
@@ -126,26 +116,36 @@ TEST_P(FailureSweep, RecoversAtAnyInstant) {
   EXPECT_EQ(sums, expect) << "t=" << t;
 }
 
-INSTANTIATE_TEST_SUITE_P(DenseTimes, FailureSweep,
-                         ::testing::Values(0.0004, 0.0011, 0.0019, 0.0027, 0.0035,
-                                           0.0044, 0.0052, 0.0061, 0.0070, 0.0078));
+INSTANTIATE_TEST_SUITE_P(
+    DenseTimes, FailureSweep,
+    ::testing::Combine(all_regimes(),
+                       ::testing::Values(0.0004, 0.0011, 0.0019, 0.0027,
+                                         0.0035, 0.0044, 0.0052, 0.0061,
+                                         0.0070, 0.0078)),
+    [](const ::testing::TestParamInfo<std::tuple<Regime, double>>& info) {
+      const long us = std::lround(std::get<1>(info.param) * 1e6);
+      return regime_name(std::get<0>(info.param)) + "_" + std::to_string(us) +
+             "us";
+    });
 
-TEST(FailureEdge, ImmediatelyAfterLaunch) {
+class FailureEdge : public ::testing::TestWithParam<Regime> {};
+
+TEST_P(FailureEdge, ImmediatelyAfterLaunch) {
   const int n = 4, iters = 6;
-  auto expect = reference(n, iters);
+  auto expect = reference(GetParam(), n, iters);
   std::map<int, uint64_t> sums;
-  Rig rig = make_rig({0, 0, 1, 1}, 2);
+  Rig rig = make_rig(GetParam(), {0, 0, 1, 1}, 2);
   rig.machine->launch([&sums](Rank& r) { workload(r, iters, &sums); });
   rig.machine->inject_failure(1e-6, 0);  // before any real progress
   ASSERT_TRUE(rig.machine->run().completed);
   EXPECT_EQ(sums, expect);
 }
 
-TEST(FailureEdge, TwoFailuresSameCluster) {
+TEST_P(FailureEdge, TwoFailuresSameCluster) {
   const int n = 8, iters = 12;
-  auto expect = reference(n, iters);
+  auto expect = reference(GetParam(), n, iters);
   std::map<int, uint64_t> sums;
-  Rig rig = make_rig({0, 0, 1, 1, 2, 2, 3, 3}, 3);
+  Rig rig = make_rig(GetParam(), {0, 0, 1, 1, 2, 2, 3, 3}, 3);
   rig.machine->launch([&sums](Rank& r) { workload(r, iters, &sums); });
   rig.machine->inject_failure(0.003, 2);
   rig.machine->inject_failure(0.012, 3);  // same cluster, after first recovery
@@ -155,11 +155,12 @@ TEST(FailureEdge, TwoFailuresSameCluster) {
   EXPECT_EQ(rig.protocol->rollbacks(), 2u);
 }
 
-TEST(FailureEdge, PureMessageLoggingRecoversSingleRank) {
+TEST_P(FailureEdge, PureMessageLoggingRecoversSingleRank) {
   const int n = 4, iters = 8;
-  auto expect = reference(n, iters);
+  auto expect = reference(GetParam(), n, iters);
   std::map<int, uint64_t> sums;
-  Rig rig = make_rig(baselines::per_rank_cluster_map(n), 2, /*colocate=*/false);
+  Rig rig = make_rig(GetParam(), baselines::per_rank_cluster_map(n), 2,
+                     /*colocate=*/false);
   rig.machine->launch([&sums](Rank& r) { workload(r, iters, &sums); });
   rig.machine->inject_failure(0.004, 1);
   ASSERT_TRUE(rig.machine->run().completed);
@@ -169,16 +170,17 @@ TEST(FailureEdge, PureMessageLoggingRecoversSingleRank) {
   // distinct per-rank cluster) physically dies with the node and restarts
   // too.
   for (int r = 0; r < n; ++r) {
-    const bool dies = elastic_env() ? (r == 0 || r == 1) : (r == 1);
+    const bool dies =
+        GetParam() == Regime::kElastic ? (r == 0 || r == 1) : (r == 1);
     EXPECT_EQ(rig.machine->rank(r).restarted(), dies) << "rank " << r;
   }
 }
 
-TEST(FailureEdge, PerNodeClusteringContainsNodeFailure) {
+TEST_P(FailureEdge, PerNodeClusteringContainsNodeFailure) {
   const int n = 8, iters = 8;
-  auto expect = reference(n, iters);
+  auto expect = reference(GetParam(), n, iters);
   std::map<int, uint64_t> sums;
-  Rig rig = make_rig(baselines::per_node_cluster_map(n, 2), 2);
+  Rig rig = make_rig(GetParam(), baselines::per_node_cluster_map(n, 2), 2);
   rig.machine->launch([&sums](Rank& r) { workload(r, iters, &sums); });
   rig.machine->inject_failure(0.004, 4);  // node 2 = ranks {4,5}
   ASSERT_TRUE(rig.machine->run().completed);
@@ -187,13 +189,13 @@ TEST(FailureEdge, PerNodeClusteringContainsNodeFailure) {
     EXPECT_EQ(rig.machine->rank(r).restarted(), r == 4 || r == 5) << "rank " << r;
 }
 
-TEST(FailureEdge, VictimChoiceIsIrrelevantWithinCluster) {
+TEST_P(FailureEdge, VictimChoiceIsIrrelevantWithinCluster) {
   // Killing rank 2 or rank 3 of cluster {2,3} must both recover the same way.
   const int n = 8, iters = 10;
-  auto expect = reference(n, iters);
+  auto expect = reference(GetParam(), n, iters);
   for (int victim : {2, 3}) {
     std::map<int, uint64_t> sums;
-    Rig rig = make_rig({0, 0, 1, 1, 2, 2, 3, 3}, 3);
+    Rig rig = make_rig(GetParam(), {0, 0, 1, 1, 2, 2, 3, 3}, 3);
     rig.machine->launch([&sums](Rank& r) { workload(r, iters, &sums); });
     rig.machine->inject_failure(0.005, victim);
     ASSERT_TRUE(rig.machine->run().completed) << "victim " << victim;
@@ -210,11 +212,11 @@ TEST(FailureEdge, VictimChoiceIsIrrelevantWithinCluster) {
 // re-match a re-sent RTS that arrived before the Rollback, and (3) stale
 // LS-suppression windows after the *peer* of a previously-rolled-back rank
 // itself rolls back.
-TEST(FailureEdge, RepeatedFailuresWithRendezvousTraffic) {
+TEST_P(FailureEdge, RepeatedFailuresWithRendezvousTraffic) {
   const int n = 8, iters = 14;
   MachineConfig base;
   base.eager_threshold = 256;  // everything is rendezvous
-  apply_ctrl_plane_env(base);
+  apply_regime(GetParam(), base);
   auto make = [&](std::vector<int> clusters, int every) {
     MachineConfig cfg = base;
     cfg.nranks = n;
@@ -249,12 +251,13 @@ TEST(FailureEdge, RepeatedFailuresWithRendezvousTraffic) {
   // Elastic runs see a fifth rollback: the fourth node loss hits a node a
   // shrunk restart had packed cluster 1 onto, so that cluster rolls back as
   // collateral alongside cluster 0.
-  EXPECT_EQ(rig.protocol->rollbacks(), elastic_env() ? 5u : 4u);
+  EXPECT_EQ(rig.protocol->rollbacks(),
+            GetParam() == Regime::kElastic ? 5u : 4u);
 }
 
-TEST(FailureEdge, DroppedInFlightAreAccounted) {
+TEST_P(FailureEdge, DroppedInFlightAreAccounted) {
   const int iters = 10;
-  Rig rig = make_rig({0, 0, 1, 1, 2, 2, 3, 3}, 3);
+  Rig rig = make_rig(GetParam(), {0, 0, 1, 1, 2, 2, 3, 3}, 3);
   rig.machine->launch([](Rank& r) { workload(r, iters, nullptr); });
   rig.machine->inject_failure(0.005, 2);
   ASSERT_TRUE(rig.machine->run().completed);
@@ -262,12 +265,15 @@ TEST(FailureEdge, DroppedInFlightAreAccounted) {
   // Under a permanent loss the victim is tombstoned, so post-crash sends to
   // it are dropped at the source (tombstone accounting) instead of dying
   // inside the transport.
-  if (elastic_env())
+  if (GetParam() == Regime::kElastic)
     EXPECT_GT(rig.machine->dropped_in_flight() + rig.machine->tombstone_drops(),
               0u);
   else
     EXPECT_GT(rig.machine->dropped_in_flight(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Regimes, FailureEdge, all_regimes(),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace spbc

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <memory>
 
@@ -13,6 +12,7 @@
 #include "core/spbc.hpp"
 #include "mpi/collectives.hpp"
 #include "mpi/machine.hpp"
+#include "regimes.hpp"
 
 namespace spbc {
 namespace {
@@ -73,29 +73,14 @@ struct Rig {
   core::SpbcProtocol* protocol = nullptr;
 };
 
-Rig make_rig(int nranks, int rpn, std::vector<int> clusters, int ckpt_every,
-                 uint64_t eager_threshold = 64 * 1024) {
+Rig make_rig(Regime regime, int nranks, int rpn, std::vector<int> clusters,
+             int ckpt_every, uint64_t eager_threshold = 64 * 1024) {
   MachineConfig cfg;
   cfg.nranks = nranks;
   cfg.ranks_per_node = rpn;
   cfg.eager_threshold = eager_threshold;
   cfg.abort_on_deadlock = false;
-  // SPBC_TEST_SCALABLE_CTRL=1 reruns this suite with the scalable control
-  // plane (leader-aggregated rollbacks + tree wave markers) forced on. The
-  // checksum oracles below must hold regardless of which plane delivered
-  // the recovery announces.
-  if (std::getenv("SPBC_TEST_SCALABLE_CTRL") != nullptr) {
-    cfg.aggregate_rollbacks = true;
-    cfg.tree_ckpt_markers = true;
-  }
-  // SPBC_TEST_ELASTIC=1 reruns this suite with a spare-node pool and every
-  // injected failure upgraded to a permanent node loss: the victim's node
-  // never returns, its ranks hot-swap onto a pooled spare, and the same
-  // checksum oracles must still hold across the rebind.
-  if (std::getenv("SPBC_TEST_ELASTIC") != nullptr) {
-    cfg.spare_nodes = 2;
-    cfg.default_failure_kind = mpi::FailureKind::kNodePermanent;
-  }
+  apply_regime(regime, cfg);
   core::SpbcConfig scfg;
   scfg.checkpoint_every = static_cast<uint64_t>(ckpt_every);
   auto proto = std::make_unique<core::SpbcProtocol>(scfg);
@@ -106,9 +91,11 @@ Rig make_rig(int nranks, int rpn, std::vector<int> clusters, int ckpt_every,
   return s;
 }
 
-std::map<int, uint64_t> failure_free_sums(int nranks, int iters) {
+std::map<int, uint64_t> failure_free_sums(Regime regime, int nranks,
+                                          int iters) {
   std::map<int, uint64_t> sums;
-  Rig s = make_rig(nranks, 2, std::vector<int>(static_cast<size_t>(nranks), 0), 0);
+  Rig s = make_rig(regime, nranks, 2,
+                   std::vector<int>(static_cast<size_t>(nranks), 0), 0);
   RingOpts opt;
   opt.iters = iters;
   opt.sums = &sums;
@@ -117,13 +104,18 @@ std::map<int, uint64_t> failure_free_sums(int nranks, int iters) {
   return sums;
 }
 
-TEST(Recovery, SingleFailureCompletesWithIdenticalResults) {
+// Every test runs under each regime (tests/regimes.hpp): the checksum
+// oracles must hold whichever control plane delivers the recovery announces
+// and whether or not the victim's node ever comes back.
+class Recovery : public ::testing::TestWithParam<Regime> {};
+
+TEST_P(Recovery, SingleFailureCompletesWithIdenticalResults) {
   const int n = 8, iters = 12;
-  auto expect = failure_free_sums(n, iters);
+  auto expect = failure_free_sums(GetParam(), n, iters);
 
   std::map<int, uint64_t> sums;
   // 4 clusters of 2 ranks (2 ranks per node).
-  Rig s = make_rig(n, 2, {0, 0, 1, 1, 2, 2, 3, 3}, 3);
+  Rig s = make_rig(GetParam(), n, 2, {0, 0, 1, 1, 2, 2, 3, 3}, 3);
   RingOpts opt;
   opt.iters = iters;
   opt.sums = &sums;
@@ -137,9 +129,9 @@ TEST(Recovery, SingleFailureCompletesWithIdenticalResults) {
   EXPECT_TRUE(s.machine->recoveries()[0].complete());
 }
 
-TEST(Recovery, FailureContainmentOnlyFailedClusterRollsBack) {
+TEST_P(Recovery, FailureContainmentOnlyFailedClusterRollsBack) {
   const int n = 8, iters = 12;
-  Rig s = make_rig(n, 2, {0, 0, 1, 1, 2, 2, 3, 3}, 3);
+  Rig s = make_rig(GetParam(), n, 2, {0, 0, 1, 1, 2, 2, 3, 3}, 3);
   RingOpts opt;
   opt.iters = iters;
   s.machine->launch([opt](Rank& r) { ring_app(r, opt); });
@@ -158,9 +150,9 @@ TEST(Recovery, FailureContainmentOnlyFailedClusterRollsBack) {
   EXPECT_TRUE(rec.target_ops.count(5));
 }
 
-TEST(Recovery, MessagesAreReplayedFromLogs) {
+TEST_P(Recovery, MessagesAreReplayedFromLogs) {
   const int n = 8, iters = 12;
-  Rig s = make_rig(n, 2, {0, 0, 1, 1, 2, 2, 3, 3}, 3);
+  Rig s = make_rig(GetParam(), n, 2, {0, 0, 1, 1, 2, 2, 3, 3}, 3);
   RingOpts opt;
   opt.iters = iters;
   s.machine->launch([opt](Rank& r) { ring_app(r, opt); });
@@ -177,11 +169,11 @@ TEST(Recovery, MessagesAreReplayedFromLogs) {
   EXPECT_GT(suppressed, 0u);
 }
 
-TEST(Recovery, FailureBeforeFirstCheckpointRestartsFromInitialState) {
+TEST_P(Recovery, FailureBeforeFirstCheckpointRestartsFromInitialState) {
   const int n = 4, iters = 6;
-  auto expect = failure_free_sums(n, iters);
+  auto expect = failure_free_sums(GetParam(), n, iters);
   std::map<int, uint64_t> sums;
-  Rig s = make_rig(n, 2, {0, 0, 1, 1}, 0);  // never checkpoints
+  Rig s = make_rig(GetParam(), n, 2, {0, 0, 1, 1}, 0);  // never checkpoints
   RingOpts opt;
   opt.iters = iters;
   opt.sums = &sums;
@@ -193,12 +185,12 @@ TEST(Recovery, FailureBeforeFirstCheckpointRestartsFromInitialState) {
   EXPECT_FALSE(s.machine->rank(0).restarted());
 }
 
-TEST(Recovery, RendezvousTrafficSurvivesFailure) {
+TEST_P(Recovery, RendezvousTrafficSurvivesFailure) {
   const int n = 4, iters = 8;
   // Eager threshold below the payload size: every message is rendezvous.
   auto expect = [&] {
     std::map<int, uint64_t> sums;
-    Rig s = make_rig(n, 2, {0, 0, 0, 0}, 0, /*eager=*/128);
+    Rig s = make_rig(GetParam(), n, 2, {0, 0, 0, 0}, 0, /*eager=*/128);
     RingOpts opt;
     opt.iters = iters;
     opt.bytes = 4096;
@@ -208,7 +200,7 @@ TEST(Recovery, RendezvousTrafficSurvivesFailure) {
     return sums;
   }();
   std::map<int, uint64_t> sums;
-  Rig s = make_rig(n, 2, {0, 0, 1, 1}, 2, /*eager=*/128);
+  Rig s = make_rig(GetParam(), n, 2, {0, 0, 1, 1}, 2, /*eager=*/128);
   RingOpts opt;
   opt.iters = iters;
   opt.bytes = 4096;
@@ -220,11 +212,11 @@ TEST(Recovery, RendezvousTrafficSurvivesFailure) {
   EXPECT_EQ(sums, expect);
 }
 
-TEST(Recovery, SecondFailureAfterRecoveryCompletes) {
+TEST_P(Recovery, SecondFailureAfterRecoveryCompletes) {
   const int n = 8, iters = 16;
-  auto expect = failure_free_sums(n, iters);
+  auto expect = failure_free_sums(GetParam(), n, iters);
   std::map<int, uint64_t> sums;
-  Rig s = make_rig(n, 2, {0, 0, 1, 1, 2, 2, 3, 3}, 3);
+  Rig s = make_rig(GetParam(), n, 2, {0, 0, 1, 1, 2, 2, 3, 3}, 3);
   RingOpts opt;
   opt.iters = iters;
   opt.sums = &sums;
@@ -237,11 +229,11 @@ TEST(Recovery, SecondFailureAfterRecoveryCompletes) {
   EXPECT_EQ(s.protocol->rollbacks(), 2u);
 }
 
-TEST(Recovery, ConcurrentFailuresOfTwoClusters) {
+TEST_P(Recovery, ConcurrentFailuresOfTwoClusters) {
   const int n = 8, iters = 16;
-  auto expect = failure_free_sums(n, iters);
+  auto expect = failure_free_sums(GetParam(), n, iters);
   std::map<int, uint64_t> sums;
-  Rig s = make_rig(n, 2, {0, 0, 1, 1, 2, 2, 3, 3}, 3);
+  Rig s = make_rig(GetParam(), n, 2, {0, 0, 1, 1, 2, 2, 3, 3}, 3);
   RingOpts opt;
   opt.iters = iters;
   opt.sums = &sums;
@@ -254,12 +246,12 @@ TEST(Recovery, ConcurrentFailuresOfTwoClusters) {
   EXPECT_EQ(s.protocol->rollbacks(), 2u);
 }
 
-TEST(Recovery, GlobalCoordinatedRollsBackEveryone) {
+TEST_P(Recovery, GlobalCoordinatedRollsBackEveryone) {
   const int n = 4, iters = 10;
-  auto expect = failure_free_sums(n, iters);
+  auto expect = failure_free_sums(GetParam(), n, iters);
   std::map<int, uint64_t> sums;
   // Single cluster: classic coordinated checkpointing, no logging.
-  Rig s = make_rig(n, 2, {0, 0, 0, 0}, 3);
+  Rig s = make_rig(GetParam(), n, 2, {0, 0, 0, 0}, 3);
   RingOpts opt;
   opt.iters = iters;
   opt.sums = &sums;
@@ -274,9 +266,9 @@ TEST(Recovery, GlobalCoordinatedRollsBackEveryone) {
   }
 }
 
-TEST(Recovery, NoMessagesLostNoDuplicatesDelivered) {
+TEST_P(Recovery, NoMessagesLostNoDuplicatesDelivered) {
   const int n = 8, iters = 12;
-  Rig s = make_rig(n, 2, {0, 0, 1, 1, 2, 2, 3, 3}, 3);
+  Rig s = make_rig(GetParam(), n, 2, {0, 0, 1, 1, 2, 2, 3, 3}, 3);
   // Count deliveries at rank 3 (survivor neighbor of the failed cluster).
   std::map<int, int> recv_count;
   RingOpts opt;
@@ -292,6 +284,9 @@ TEST(Recovery, NoMessagesLostNoDuplicatesDelivered) {
   EXPECT_EQ(recv_count[0], iters);
   EXPECT_EQ(recv_count[7], iters);
 }
+
+INSTANTIATE_TEST_SUITE_P(Regimes, Recovery, all_regimes(),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace spbc

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -14,30 +16,45 @@ namespace {
 TEST(EventQueue, OrdersByTimeThenInsertion) {
   EventQueue q;
   std::vector<int> order;
-  q.schedule(2.0, [&] { order.push_back(3); });
-  q.schedule(1.0, [&] { order.push_back(1); });
-  q.schedule(1.0, [&] { order.push_back(2); });  // same time: insertion order
-  while (!q.empty()) q.pop().second();
+  q.push(EventKey{2.0, 0, 0}, 0, [&] { order.push_back(3); });
+  q.push(EventKey{1.0, 0, 1}, 0, [&] { order.push_back(1); });
+  q.push(EventKey{1.0, 0, 2}, 0, [&] { order.push_back(2); });  // same time
+  while (!q.empty()) q.pop().fn();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  int ran = 0;
-  auto id = q.schedule(1.0, [&] { ++ran; });
-  q.schedule(2.0, [&] { ++ran; });
-  q.cancel(id);
-  EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.pop().second();
-  EXPECT_EQ(ran, 1);
-}
-
-TEST(EventQueue, NextTimeSkipsCancelled) {
-  EventQueue q;
-  auto id = q.schedule(1.0, [] {});
-  q.schedule(5.0, [] {});
-  q.cancel(id);
-  EXPECT_DOUBLE_EQ(q.next_time(), 5.0);
+// Interleaved pushes and pops of unique keys with heavily tied times and
+// shards must pop in exactly the order std::sort gives the pending keys.
+TEST(EventQueue, RandomizedPopsMatchSortedKeys) {
+  auto same = [](const EventKey& a, const EventKey& b) {
+    return !(a < b) && !(b < a);
+  };
+  std::mt19937_64 rng(12345);
+  for (int round = 0; round < 20; ++round) {
+    EventQueue q;
+    std::vector<uint64_t> next_seq(4, 0);
+    std::vector<EventKey> pending;  // pushed, not yet popped
+    Time floor = 0.0;               // keys never go behind the last pop
+    for (int step = 0; step < 2000; ++step) {
+      if (q.empty() || rng() % 3 != 0) {
+        const uint32_t shard = static_cast<uint32_t>(rng() % 4);
+        const EventKey k{floor + static_cast<Time>(rng() % 4), shard,
+                         next_seq[shard]++};
+        q.push(k, shard, [] {});
+        pending.push_back(k);
+        ASSERT_EQ(q.size(), pending.size());
+        continue;
+      }
+      std::sort(pending.begin(), pending.end());
+      const EventKey want = pending.front();
+      pending.erase(pending.begin());
+      ASSERT_TRUE(same(q.next_key(), want));
+      const EventQueue::Event ev = q.pop();
+      ASSERT_TRUE(same(ev.key, want)) << "round " << round << " step " << step;
+      ASSERT_EQ(ev.owner, want.shard);
+      floor = want.t;
+    }
+  }
 }
 
 TEST(Engine, TimeAdvancesMonotonically) {
